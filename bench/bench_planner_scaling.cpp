@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
                            cold_was_dp});
     comparisons.push_back({"plan cache steady state", "every repeat plan hits",
                            all_hits ? "1000/1000 hits" : "MISSES", all_hits});
-    comparisons.push_back({"plan cache hit latency", "O(1), far below one DP",
+    comparisons.push_back({"plan cache hit latency", "O(p), far below one DP",
                            support::format_seconds(hit_s),
                            hit_s * 50.0 < cold_s || cold_s < 1e-4});
   }

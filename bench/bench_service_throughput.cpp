@@ -8,7 +8,7 @@
 //   1. cache-miss scaling — every request is a unique key, so every
 //      request costs a full DP solve. Aggregate throughput with 16
 //      concurrent clients vs 1 client measures how well the batched
-//      dispatch + sharded cache spread independent solves across cores.
+//      dispatch + lock-striped plan cache spread independent solves across cores.
 //   2. coalescing proof — 16 clients all request the SAME fresh key, for
 //      several rounds, against a dedicated server whose solve_delay_ms
 //      holds each solve open until every client has attached (the same
@@ -20,7 +20,7 @@
 //      a second solve — a benign race, but one that would flake the
 //      exact-count gate under load.
 //   3. cache-hit serving — 16 clients replay phase 1's warmed keys;
-//      requests never touch the queue, throughput is pure sharded-cache
+//      requests never touch the queue, throughput is pure plan-cache
 //      reads.
 //
 // Shape gates are hardware-aware: the 16-vs-1 scaling target is

@@ -134,7 +134,7 @@ class AdaptivePlanner {
                            AdaptiveOptions options = {});
 
   // Plans `items` over the current believed platform. Repeat plans on an
-  // unchanged model are O(1) cache hits; the first plan after a refit
+  // unchanged model are cache hits (no re-solve); the first plan after a refit
   // misses (new fingerprints) and re-solves.
   [[nodiscard]] ScatterPlan plan(long long items);
 

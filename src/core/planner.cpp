@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "core/closed_form.hpp"
 #include "core/dp.hpp"
@@ -45,12 +46,12 @@ Algorithm resolve(const model::Platform& platform, Algorithm requested) {
   return Algorithm::ExactDp;
 }
 
-// One 64-bit digest of the platform's per-processor cost fingerprints,
-// carried in scatter.plan spans so traces from different platforms are
+// One 64-bit digest of the key's per-processor cost fingerprints, carried
+// in scatter.plan spans so traces from different platforms are
 // distinguishable without storing the full vector.
-long long folded_fingerprint(const model::Platform& platform) {
+long long folded_fingerprint(const PlanKey& key) {
   std::uint64_t folded = 0xcbf29ce484222325ULL;
-  for (std::uint64_t print : PlanCache::fingerprint(platform)) {
+  for (std::uint64_t print : key.costs) {
     folded ^= print;
     folded *= 0x100000001b3ULL;
   }
@@ -94,6 +95,14 @@ ScatterPlan plan_scatter(const model::Platform& platform, long long items,
   obs::Tracer* tracer =
       options.tracer != nullptr ? options.tracer : obs::global_tracer();
   const double begin = tracer != nullptr ? obs::wall_now() : 0.0;
+  const Algorithm algorithm = options.algorithm;
+  // Built at most once per call: the cache probe, the cache fill and the
+  // span's platform digest all read the same key.
+  std::optional<PlanKey> key;
+  auto plan_key = [&]() -> const PlanKey& {
+    if (!key) key = make_plan_key(platform, items, algorithm);
+    return *key;
+  };
   auto trace_plan = [&](const ScatterPlan& plan) {
     if (tracer != nullptr) {
       obs::TraceEvent event;
@@ -104,7 +113,7 @@ ScatterPlan plan_scatter(const model::Platform& platform, long long items,
       event.duration = obs::wall_now() - begin;
       event.arg0 = items;
       event.arg1 = static_cast<long long>(plan.algorithm_used);
-      event.arg2 = folded_fingerprint(platform);
+      event.arg2 = folded_fingerprint(plan_key());
       tracer->record(event);
     }
     if (options.metrics != nullptr) {
@@ -114,9 +123,8 @@ ScatterPlan plan_scatter(const model::Platform& platform, long long items,
     }
   };
 
-  const Algorithm algorithm = options.algorithm;
   if (options.cache != nullptr) {
-    if (auto cached = options.cache->lookup(platform, items, algorithm)) {
+    if (auto cached = options.cache->lookup(plan_key())) {
       trace_plan(*cached);
       return *std::move(cached);
     }
@@ -177,7 +185,7 @@ ScatterPlan plan_scatter(const model::Platform& platform, long long items,
   plan.predicted_makespan =
       *std::max_element(plan.predicted_finish.begin(), plan.predicted_finish.end());
   if (options.cache != nullptr) {
-    options.cache->insert(platform, items, algorithm, plan);
+    options.cache->insert(plan_key(), plan);
   }
   trace_plan(plan);
   return plan;

@@ -19,7 +19,7 @@
 
 namespace lbs::core {
 
-class PlanCacheBase;
+class PlanCache;
 
 enum class Algorithm {
   Auto,
@@ -64,10 +64,9 @@ struct PlannerOptions {
   // Forwarded to exact_dp / optimized_dp (threads, memory mode, cost table).
   DpOptions dp;
   // When non-null, consulted before planning and filled after: repeat
-  // plans for the same (costs, items, algorithm) return in O(1). Either a
-  // PlanCache (single mutex) or a ShardedPlanCache (lock-striped, for
-  // concurrent planners) — see core/plan_cache.hpp.
-  PlanCacheBase* cache = nullptr;
+  // plans for the same (costs, items, algorithm) skip the solve and cost
+  // one O(p) key build plus an O(p) plan copy — see core/plan_cache.hpp.
+  PlanCache* cache = nullptr;
   // Observability hooks. A null tracer falls back to obs::global_tracer();
   // when one is live, every plan_scatter call emits a scatter.plan span
   // (items, resolved algorithm, folded platform fingerprint) and forwards

@@ -32,7 +32,7 @@ model::Platform reduce_platform(const model::Platform& platform,
 // undelivered item count, re-runs plan_scatter on the reduced platform and
 // returns per-survivor counts, aligned with the alive list. Each replanner
 // owns a core::PlanCache, so repeated recoveries of the same survivor set
-// and remainder (the common case across scatters) hit in O(1).
+// and remainder (the common case across scatters) hit without a re-solve.
 std::function<std::vector<long long>(const std::vector<int>& alive,
                                      long long items)>
 make_ft_replanner(model::Platform platform,
@@ -50,9 +50,10 @@ using PlatformProvider = std::function<model::Platform()>;
 // updates between scatters are picked up on the next recovery. The plan
 // cache is keyed on the reduced platform's cost fingerprints, so a
 // refreshed cost can never be served a stale plan — and unchanged costs
-// still hit in O(1). Passing `cache` shares it with other planning paths
-// (core::AdaptivePlanner routes its drift replans and its plan() calls
-// through one cache this way); nullptr gets a private 64-entry cache.
+// still hit without a re-solve. Passing `cache` shares it with other
+// planning paths (core::AdaptivePlanner routes its drift replans and its
+// plan() calls through one cache this way); nullptr gets a private
+// 64-entry cache.
 std::function<std::vector<long long>(const std::vector<int>& alive,
                                      long long items)>
 make_ft_replanner(PlatformProvider provider,

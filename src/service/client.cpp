@@ -80,10 +80,18 @@ std::uint32_t backoff_with_jitter(std::uint32_t hint_ms, int attempt,
 Client::Client(const std::string& endpoint_spec)
     : Client(ClientOptions{.endpoint = Endpoint::parse(endpoint_spec)}) {}
 
+Client::ClientMetrics::ClientMetrics(obs::Metrics& metrics)
+    : breaker_fast_fails(metrics.counter("service.client.breaker.fast_fails")),
+      breaker_opens(metrics.counter("service.client.breaker.opens")),
+      retry_attempts(metrics.counter("service.client.retry.attempts")),
+      fallbacks(metrics.counter("service.client.fallbacks")),
+      timeouts(metrics.counter("service.client.timeouts")),
+      reconnects(metrics.counter("service.client.reconnects")) {}
+
 Client::Client(ClientOptions options)
     : options_(std::move(options)),
-      metrics_(options_.metrics != nullptr ? options_.metrics
-                                           : &obs::global_metrics()),
+      client_metrics_(options_.metrics != nullptr ? *options_.metrics
+                                                  : obs::global_metrics()),
       rng_(options_.jitter_seed != 0 ? options_.jitter_seed
                                      : derive_jitter_seed(this)) {
   if (!options_.endpoint.valid()) {
@@ -165,7 +173,7 @@ PlanResponse Client::plan_with_retry(const model::Platform& platform,
   PlanResponse response;
   for (int attempt = 0; attempt <= max_retries; ++attempt) {
     if (!breaker_allows()) {
-      metrics_->counter("service.client.breaker.fast_fails").add();
+      client_metrics_.breaker_fast_fails.add();
       if (options_.local_fallback) {
         return local_plan(platform, items, algorithm, "circuit breaker open");
       }
@@ -201,7 +209,7 @@ PlanResponse Client::plan_with_retry(const model::Platform& platform,
                                     options_.backoff_base_ms,
                                     options_.backoff_cap_ms, rng_);
     }
-    metrics_->counter("service.client.retry.attempts").add();
+    client_metrics_.retry_attempts.add();
     std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
   }
 
@@ -218,7 +226,7 @@ PlanResponse Client::plan_with_retry(const model::Platform& platform,
 PlanResponse Client::local_plan(const model::Platform& platform, long long items,
                                 core::Algorithm algorithm,
                                 const std::string& reason) {
-  metrics_->counter("service.client.fallbacks").add();
+  client_metrics_.fallbacks.add();
   PlanResponse response;
   try {
     core::PlannerOptions planner_options;
@@ -256,7 +264,7 @@ void Client::record_outcome(PlanStatus status) {
     if (!breaker_is_open_ ||
         std::chrono::steady_clock::now() >= breaker_open_until_) {
       // Newly opened, or a half-open trial just failed: re-arm.
-      metrics_->counter("service.client.breaker.opens").add();
+      client_metrics_.breaker_opens.add();
     }
     breaker_is_open_ = true;
     breaker_open_until_ = std::chrono::steady_clock::now() +
@@ -448,11 +456,11 @@ void Client::sweeper_loop() {
     // immediately issue a follow-up request that needs pending_mu_.
     lock.unlock();
     for (std::size_t i = 0; i < expired_plans.size(); ++i) {
-      metrics_->counter("service.client.timeouts").add();
+      client_metrics_.timeouts.add();
       expired_plans[i].set_value(timeout_response(expired_plan_ids[i]));
     }
     for (std::size_t i = 0; i < expired_controls.size(); ++i) {
-      metrics_->counter("service.client.timeouts").add();
+      client_metrics_.timeouts.add();
       expired_controls[i].set_value(dead_control(
           expired_control_ids[i], timeout_response(expired_control_ids[i])));
     }
@@ -510,7 +518,7 @@ bool Client::try_reconnect() {
   stop_.store(false, std::memory_order_release);
   disconnected_.store(false, std::memory_order_release);
   reader_ = std::thread([this] { reader_loop(); });
-  metrics_->counter("service.client.reconnects").add();
+  client_metrics_.reconnects.add();
   return true;
 }
 

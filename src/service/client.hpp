@@ -61,6 +61,7 @@
 #include "support/rng.hpp"
 
 namespace lbs::obs {
+class Counter;
 class Metrics;
 }
 
@@ -235,8 +236,20 @@ class Client {
                                         long long items, core::Algorithm algorithm,
                                         const std::string& reason);
 
+  // service.client.* counters, resolved once at construction so no
+  // request path looks a metric up by name.
+  struct ClientMetrics {
+    explicit ClientMetrics(obs::Metrics& metrics);
+    obs::Counter& breaker_fast_fails;
+    obs::Counter& breaker_opens;
+    obs::Counter& retry_attempts;
+    obs::Counter& fallbacks;
+    obs::Counter& timeouts;
+    obs::Counter& reconnects;
+  };
+
   ClientOptions options_;
-  obs::Metrics* metrics_ = nullptr;
+  ClientMetrics client_metrics_;
 
   int fd_ = -1;
   std::atomic<bool> stop_{false};

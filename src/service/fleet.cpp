@@ -20,12 +20,27 @@ bool is_transport_failure(PlanStatus status) {
 
 }  // namespace
 
+FleetClient::FleetMetrics::FleetMetrics(obs::Metrics& metrics)
+    : requests(metrics.counter("service.fleet.requests")),
+      rerouted(metrics.counter("service.fleet.rerouted")),
+      rejected(metrics.counter("service.fleet.rejected")),
+      redirected(metrics.counter("service.fleet.redirected")),
+      fallbacks(metrics.counter("service.fleet.fallbacks")),
+      exhausted(metrics.counter("service.fleet.exhausted")),
+      transport_failures(metrics.counter("service.fleet.transport_failures")),
+      dial_failures(metrics.counter("service.fleet.dial_failures")),
+      view_updates(metrics.counter("service.fleet.view_updates")),
+      view_pushes(metrics.counter("service.fleet.view_pushes")),
+      file_rejected(metrics.counter("service.fleet.file_rejected")) {}
+
 FleetClient::FleetClient(FleetOptions options)
-    : options_(std::move(options)), ring_(options_.virtual_nodes) {
+    : options_(std::move(options)),
+      metrics_(options_.metrics != nullptr ? options_.metrics : &obs::global_metrics()),
+      fleet_metrics_(*metrics_),
+      ring_(options_.virtual_nodes) {
   LBS_CHECK_MSG(options_.retries_per_replica >= 0,
                 "retries_per_replica must be >= 0");
   LBS_CHECK_MSG(options_.max_redirects >= 0, "max_redirects must be >= 0");
-  metrics_ = options_.metrics != nullptr ? options_.metrics : &obs::global_metrics();
 
   MembershipView initial = options_.view;
   if (initial.members.empty()) {
@@ -99,7 +114,7 @@ bool FleetClient::apply_view(const MembershipView& update) {
     if (!adopt(view_, update)) return false;
     install_view_locked();
   }
-  metrics_->counter("service.fleet.view_updates").add();
+  fleet_metrics_.view_updates.add();
   return true;
 }
 
@@ -124,7 +139,7 @@ void FleetClient::membership_watch_loop() {
         try {
           apply_view(read_view_file(options_.membership_path));
         } catch (const lbs::Error&) {
-          metrics_->counter("service.fleet.file_rejected").add();
+          fleet_metrics_.file_rejected.add();
         }
       }
     }
@@ -154,7 +169,7 @@ Client* FleetClient::ensure_client(Slot& slot) {
   } catch (const lbs::Error&) {
     slot.down_until =
         now + std::chrono::milliseconds(options_.down_retry_ms);
-    metrics_->counter("service.fleet.dial_failures").add();
+    fleet_metrics_.dial_failures.add();
     return nullptr;
   }
   return slot.client.get();
@@ -163,7 +178,7 @@ Client* FleetClient::ensure_client(Slot& slot) {
 PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
                                core::Algorithm algorithm) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  metrics_->counter("service.fleet.requests").add();
+  fleet_metrics_.requests.add();
 
   core::PlanKey key = core::make_plan_key(platform, items, algorithm);
   std::uint64_t hash = static_cast<std::uint64_t>(core::PlanKeyHash{}(key));
@@ -228,7 +243,7 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
           } catch (const lbs::Error&) {
           }
           if (pushed) {
-            metrics_->counter("service.fleet.view_pushes").add();
+            fleet_metrics_.view_pushes.add();
             continue;
           }
         }
@@ -245,7 +260,7 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
         // top, bounded by max_redirects.
         (void)apply_view(response.current_view);
         redirected_.fetch_add(1, std::memory_order_relaxed);
-        metrics_->counter("service.fleet.redirected").add();
+        fleet_metrics_.redirected.add();
         redirected = true;
         break;
       }
@@ -258,14 +273,14 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
         served->fetch_add(1, std::memory_order_relaxed);
         if (response.status == PlanStatus::Rejected) {
           rejected_.fetch_add(1, std::memory_order_relaxed);
-          metrics_->counter("service.fleet.rejected").add();
+          fleet_metrics_.rejected.add();
         } else if (i > 0) {
           rerouted_.fetch_add(1, std::memory_order_relaxed);
-          metrics_->counter("service.fleet.rerouted").add();
+          fleet_metrics_.rerouted.add();
         }
         return response;
       }
-      metrics_->counter("service.fleet.transport_failures").add();
+      fleet_metrics_.transport_failures.add();
       last = std::move(response);
     }
     if (!redirected) break;  // candidates exhausted under a stable view
@@ -273,11 +288,11 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
 
   if (options_.local_fallback) {
     fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("service.fleet.fallbacks").add();
+    fleet_metrics_.fallbacks.add();
     return local_plan(platform, items, algorithm, "fleet: all replicas failed");
   }
   exhausted_.fetch_add(1, std::memory_order_relaxed);
-  metrics_->counter("service.fleet.exhausted").add();
+  fleet_metrics_.exhausted.add();
   return last;
 }
 

@@ -4,7 +4,7 @@
 // N replicas behind naive round-robin would be N duplicated caches (every
 // replica eventually solves every hot key). FleetClient instead routes
 // each request by its PlanKey over a support::HashRing keyed on the
-// replicas' endpoints, so the fleet's ShardedPlanCaches PARTITION the key
+// replicas' endpoints, so the fleet's plan caches PARTITION the key
 // space: a key has exactly one home replica, aggregate cache capacity is
 // the sum of the replicas', and a warm key is warm fleet-wide because
 // every client routes it to the same place. The same key → same replica
@@ -199,8 +199,26 @@ class FleetClient {
                                         long long items, core::Algorithm algorithm,
                                         const std::string& reason);
 
+  // service.fleet.* counters in *metrics_, resolved once at construction
+  // so plan() never looks a metric up by name.
+  struct FleetMetrics {
+    explicit FleetMetrics(obs::Metrics& metrics);
+    obs::Counter& requests;
+    obs::Counter& rerouted;
+    obs::Counter& rejected;
+    obs::Counter& redirected;
+    obs::Counter& fallbacks;
+    obs::Counter& exhausted;
+    obs::Counter& transport_failures;
+    obs::Counter& dial_failures;
+    obs::Counter& view_updates;
+    obs::Counter& view_pushes;
+    obs::Counter& file_rejected;
+  };
+
   FleetOptions options_;
-  obs::Metrics* metrics_ = nullptr;
+  obs::Metrics* metrics_;
+  FleetMetrics fleet_metrics_;
 
   // view_ + ring_ + the slot index are one consistent unit under
   // view_mu_. Slots are append-only: a member that leaves the view keeps

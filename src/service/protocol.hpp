@@ -120,7 +120,7 @@ struct PlanResponse {
   // predicted_makespan <= optimal + optimality_gap (0 for DP plans).
   bool has_optimality_bound = false;
   double optimality_gap = 0.0;
-  bool cache_hit = false;   // served straight from the sharded cache
+  bool cache_hit = false;   // served straight from the plan cache
   bool coalesced = false;   // attached to another request's in-flight solve
   // Client-side only: this Ok was computed in-process by plan_scatter
   // because the circuit breaker was open (or retries were exhausted) —

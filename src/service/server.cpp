@@ -49,9 +49,26 @@ void Server::Connection::close() {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache_shards, options_.cache_capacity_per_shard),
-      metrics_(options_.metrics != nullptr ? options_.metrics
-                                           : &obs::global_metrics()),
+      cache_(options_.cache_capacity_per_shard, options_.cache_shards),
+      own_metrics_(options_.metrics == nullptr ? std::make_unique<obs::Metrics>()
+                                               : nullptr),
+      metrics_(options_.metrics != nullptr ? options_.metrics : own_metrics_.get()),
+      requests_(metrics_->counter("service.requests")),
+      cache_hits_(metrics_->counter("service.cache_hits")),
+      coalesced_(metrics_->counter("service.coalesced")),
+      solved_(metrics_->counter("service.solved")),
+      rejected_(metrics_->counter("service.rejected")),
+      errors_(metrics_->counter("service.errors")),
+      protocol_errors_(metrics_->counter("service.protocol_errors")),
+      connections_(metrics_->counter("service.connections")),
+      membership_updates_(metrics_->counter("service.membership.updates")),
+      wrong_epoch_(metrics_->counter("service.membership.wrong_epoch")),
+      handoff_entries_(metrics_->counter("service.membership.handoff_entries")),
+      batches_(metrics_->counter("service.batches")),
+      request_seconds_(metrics_->histogram("service.request_seconds")),
+      queue_depth_(metrics_->histogram("service.queue_depth")),
+      queue_seconds_(metrics_->histogram("service.queue_seconds")),
+      batch_size_(metrics_->histogram("service.batch_size")),
       // The dispatcher participates in every for_range, so a pool of
       // (dp_workers - 1) background threads yields dp_workers-way solves.
       pool_((options_.dp_workers > 0 ? options_.dp_workers
@@ -298,8 +315,7 @@ bool Server::adopt_view(const MembershipView& update, bool allow_pull) {
     std::lock_guard lock(view_mu_);
     view_ = std::make_shared<const MembershipView>(next);
   }
-  membership_updates_.fetch_add(1, std::memory_order_relaxed);
-  metrics_->counter("service.membership.updates").add();
+  membership_updates_.add();
   if (obs::Tracer* t = tracer()) {
     obs::TraceEvent event;
     event.type = obs::EventType::ServiceMembership;
@@ -363,9 +379,7 @@ std::size_t Server::pull_partition(const MembershipView& view,
                   "handoff: unexpected reply type");
     cache_.restore_entries(message.entries);
     restored = message.entries.size();
-    handoff_entries_.fetch_add(restored, std::memory_order_relaxed);
-    metrics_->counter("service.membership.handoff_entries")
-        .add(static_cast<std::uint64_t>(restored));
+    handoff_entries_.add(static_cast<std::uint64_t>(restored));
     metrics_->histogram("service.membership.handoff_seconds")
         .observe(obs::wall_now() - started_at);
   } catch (const lbs::Error& error) {
@@ -439,8 +453,7 @@ void Server::accept_loop() {
   while (!stop_.load(std::memory_order_acquire)) {
     int fd = accept_with_stop(listen_fd_, stop_);
     if (fd < 0) break;
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("service.connections").add();
+    connections_.add();
     auto connection = std::make_shared<Connection>();
     connection->fd = fd;
     connection->send_timeout_ms = options_.reply_timeout_ms;
@@ -459,8 +472,7 @@ void Server::connection_loop(std::shared_ptr<Connection> connection) {
     } catch (const lbs::Error&) {
       // Mis-framed or corrupted stream (bad length, checksum mismatch):
       // drop the connection.
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->counter("service.protocol_errors").add();
+      protocol_errors_.add();
       break;
     }
     if (status == IoStatus::Stopped) {
@@ -475,8 +487,7 @@ void Server::connection_loop(std::shared_ptr<Connection> connection) {
     } catch (const lbs::Error&) {
       // Protocol violation (bad version, unknown type, truncated body):
       // nothing sensible to answer — close.
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->counter("service.protocol_errors").add();
+      protocol_errors_.add();
       break;
     }
   }
@@ -553,8 +564,7 @@ void Server::respond_plan(const Waiter& waiter, PlanResponse response) {
                                     : kServedFresh;
     t->record(event);
   }
-  metrics_->histogram("service.request_seconds")
-      .observe(now - waiter.received_at);
+  request_seconds_.observe(now - waiter.received_at);
 
   (void)waiter.connection->send(encode_plan_response(response));
 }
@@ -562,8 +572,7 @@ void Server::respond_plan(const Waiter& waiter, PlanResponse response) {
 void Server::handle_plan(const std::shared_ptr<Connection>& connection,
                          PlanRequest&& request) {
   const double received_at = obs::wall_now();
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  metrics_->counter("service.requests").add();
+  requests_.add();
   Waiter waiter{connection, request.id, /*coalesced=*/false, received_at};
 
   // Epoch gate. A request routed under an older view gets the current
@@ -588,8 +597,7 @@ void Server::handle_plan(const std::shared_ptr<Connection>& connection,
     // newer one back (membership_exchange), which triggers this
     // replica's handoff pull before the retry lands.
     if (request.epoch != 0 && request.epoch != view->epoch) {
-      wrong_epoch_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->counter("service.membership.wrong_epoch").add();
+      wrong_epoch_.add();
       PlanResponse response;
       response.status = PlanStatus::WrongEpoch;
       response.current_view = *view;
@@ -605,8 +613,7 @@ void Server::handle_plan(const std::shared_ptr<Connection>& connection,
   // these are the operator's tighter limits.)
   if (request.platform.size() > options_.max_processors ||
       request.items < 0 || request.items > options_.max_items) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("service.errors").add();
+    errors_.add();
     PlanResponse response;
     response.status = PlanStatus::Error;
     response.message = request.items < 0 ? "negative item count"
@@ -621,8 +628,7 @@ void Server::handle_plan(const std::shared_ptr<Connection>& connection,
       core::make_plan_key(request.platform, request.items, request.algorithm);
 
   if (auto cached = cache_.lookup(key)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("service.cache_hits").add();
+    cache_hits_.add();
     PlanResponse response;
     response.status = PlanStatus::Ok;
     response.counts = cached->distribution.counts;
@@ -645,15 +651,13 @@ void Server::handle_plan(const std::shared_ptr<Connection>& connection,
       // concurrent requests cost exactly one dp.solve.
       waiter.coalesced = true;
       it->second->waiters.push_back(std::move(waiter));
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->counter("service.coalesced").add();
+      coalesced_.add();
       return;
     }
 
     if (drain_new_keys) {
       lock.unlock();
-      wrong_epoch_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->counter("service.membership.wrong_epoch").add();
+      wrong_epoch_.add();
       PlanResponse response;
       response.status = PlanStatus::WrongEpoch;
       response.current_view = *view;
@@ -671,8 +675,7 @@ void Server::handle_plan(const std::shared_ptr<Connection>& connection,
     pending->depth_at_enqueue = queue_.size();
     if (!queue_.try_push(pending)) {
       lock.unlock();
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->counter("service.rejected").add();
+      rejected_.add();
       PlanResponse response;
       response.status = PlanStatus::Rejected;
       response.retry_after_ms = options_.retry_after_ms;
@@ -681,8 +684,7 @@ void Server::handle_plan(const std::shared_ptr<Connection>& connection,
     }
     inflight_.emplace(std::move(key), std::move(pending));
   }
-  metrics_->histogram("service.queue_depth")
-      .observe(static_cast<double>(queue_.size()));
+  queue_depth_.observe(static_cast<double>(queue_.size()));
 }
 
 void Server::dispatch_loop() {
@@ -706,13 +708,11 @@ void Server::dispatch_loop() {
       }
     }
     for (const auto& pending : batch) {
-      metrics_->histogram("service.queue_seconds")
-          .observe(batch_start - pending->enqueued_at);
+      queue_seconds_.observe(batch_start - pending->enqueued_at);
     }
 
-    metrics_->counter("service.batches").add();
-    metrics_->histogram("service.batch_size")
-        .observe(static_cast<double>(batch.size()));
+    batches_.add();
+    batch_size_.observe(static_cast<double>(batch.size()));
 
     if (batch.size() == 1) {
       solve_one(*batch.front());
@@ -755,8 +755,7 @@ void Server::solve_one(PendingSolve& pending) {
     core::ScatterPlan plan =
         core::plan_scatter(pending.platform, pending.items, planner_options);
     cache_.insert(pending.key, plan);
-    solved_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("service.solved").add();
+    solved_.add();
     base.status = PlanStatus::Ok;
     base.counts = std::move(plan.distribution.counts);
     base.predicted_makespan = plan.predicted_makespan;
@@ -765,8 +764,7 @@ void Server::solve_one(PendingSolve& pending) {
     base.has_optimality_bound = plan.has_optimality_bound;
     base.optimality_gap = plan.optimality_gap;
   } catch (const lbs::Error& error) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("service.errors").add();
+    errors_.add();
     base.status = PlanStatus::Error;
     base.message = error.what();
   }
@@ -785,22 +783,22 @@ void Server::solve_one(PendingSolve& pending) {
 
 Server::Counters Server::counters() const {
   Counters out;
-  out.requests = requests_.load(std::memory_order_relaxed);
-  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  out.coalesced = coalesced_.load(std::memory_order_relaxed);
-  out.solved = solved_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.errors = errors_.load(std::memory_order_relaxed);
-  out.connections = connections_.load(std::memory_order_relaxed);
-  out.membership_updates = membership_updates_.load(std::memory_order_relaxed);
-  out.wrong_epoch = wrong_epoch_.load(std::memory_order_relaxed);
-  out.handoff_entries = handoff_entries_.load(std::memory_order_relaxed);
+  out.requests = requests_.value();
+  out.cache_hits = cache_hits_.value();
+  out.coalesced = coalesced_.value();
+  out.solved = solved_.value();
+  out.rejected = rejected_.value();
+  out.errors = errors_.value() + protocol_errors_.value();
+  out.connections = connections_.value();
+  out.membership_updates = membership_updates_.value();
+  out.wrong_epoch = wrong_epoch_.value();
+  out.handoff_entries = handoff_entries_.value();
   return out;
 }
 
 std::string Server::stats_json() const {
   Counters c = counters();
-  core::ShardedPlanCache::Stats cache_stats = cache_.stats();
+  core::PlanCache::Stats cache_stats = cache_.stats();
   MembershipView view = membership_view();
   const char* state = "serving";
   if (view.epoch != 0) {

@@ -15,7 +15,7 @@
 // The request path, in order:
 //   1. admission — implausible requests (too many processors, too many
 //      items) get an immediate Error; nothing hostile reaches the DP.
-//   2. cache probe — core::ShardedPlanCache, N lock-striped LRU shards
+//   2. cache probe — core::PlanCache with N lock-striped LRU shards,
 //      keyed by the same PlanKey the planner uses. A hit answers without
 //      touching the queue.
 //   3. coalescing — an in-flight map keyed by PlanKey. If an identical
@@ -33,7 +33,8 @@
 // Observability (docs/observability.md): service.request spans (receipt
 // to reply, outcome in arg1/arg2), service.queue spans (time a solve
 // waited), service.batch spans (size in arg0), plus service.* counters
-// and latency/queue-depth histograms in obs::Metrics.
+// and latency/queue-depth histograms in obs::Metrics — the server's only
+// counters, with handles resolved once at construction.
 #pragma once
 
 #include <atomic>
@@ -46,7 +47,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/sharded_plan_cache.hpp"
+#include "core/plan_cache.hpp"
 #include "service/membership.hpp"
 #include "service/protocol.hpp"
 #include "service/snapshot.hpp"
@@ -56,6 +57,7 @@
 
 namespace lbs::obs {
 class Counter;
+class Histogram;
 class Metrics;
 class Tracer;
 }
@@ -72,7 +74,8 @@ struct ServerOptions {
   // port after start()). Takes precedence over socket_path.
   Endpoint endpoint;
 
-  // Sharded plan cache geometry (core::ShardedPlanCache).
+  // Plan cache geometry (core::PlanCache lock stripes and per-stripe LRU
+  // capacity).
   int cache_shards = 8;
   std::size_t cache_capacity_per_shard = 128;
 
@@ -131,8 +134,9 @@ struct ServerOptions {
   std::uint32_t handoff_timeout_ms = 5000;
 
   // Observability. Null tracer falls back to obs::global_tracer() (and
-  // tracing is off when that is null too); null metrics falls back to
-  // obs::global_metrics().
+  // tracing is off when that is null too); null metrics gives the server
+  // a private registry, so in-process replicas never mix their counts.
+  // Server::counters() and stats_json() read whichever registry is used.
   obs::Tracer* tracer = nullptr;
   obs::Metrics* metrics = nullptr;
 };
@@ -169,9 +173,12 @@ class Server {
   // port 0 this carries the kernel-assigned port once start() returns —
   // the address fleet peers must dial.
   [[nodiscard]] const Endpoint& endpoint() const { return options_.endpoint; }
-  [[nodiscard]] core::ShardedPlanCache& cache() { return cache_; }
+  [[nodiscard]] core::PlanCache& cache() { return cache_; }
 
-  // Monotonic totals since start; `requests` counts plan requests only.
+  // Monotonic totals read from the server's service.* counters;
+  // `requests` counts plan requests only, `errors` sums service.errors and
+  // service.protocol_errors. Per server unless ServerOptions::metrics is
+  // shared.
   struct Counters {
     std::uint64_t requests = 0;
     std::uint64_t cache_hits = 0;
@@ -252,8 +259,26 @@ class Server {
   [[nodiscard]] obs::Tracer* tracer() const;
 
   ServerOptions options_;
-  core::ShardedPlanCache cache_;
-  obs::Metrics* metrics_ = nullptr;
+  core::PlanCache cache_;
+  std::unique_ptr<obs::Metrics> own_metrics_;  // set when options_.metrics is null
+  obs::Metrics* metrics_;
+  // Hot-path handles into *metrics_, resolved once in the constructor.
+  obs::Counter& requests_;
+  obs::Counter& cache_hits_;
+  obs::Counter& coalesced_;
+  obs::Counter& solved_;
+  obs::Counter& rejected_;
+  obs::Counter& errors_;
+  obs::Counter& protocol_errors_;
+  obs::Counter& connections_;
+  obs::Counter& membership_updates_;
+  obs::Counter& wrong_epoch_;
+  obs::Counter& handoff_entries_;
+  obs::Counter& batches_;
+  obs::Histogram& request_seconds_;
+  obs::Histogram& queue_depth_;
+  obs::Histogram& queue_seconds_;
+  obs::Histogram& batch_size_;
   support::ThreadPool pool_;
   support::BoundedQueue<PendingPtr> queue_;
 
@@ -295,17 +320,6 @@ class Server {
   std::mutex membership_wake_mu_;
   std::condition_variable membership_wake_cv_;
   bool membership_stop_ = false;  // guarded by membership_wake_mu_
-
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> solved_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> connections_{0};
-  std::atomic<std::uint64_t> membership_updates_{0};
-  std::atomic<std::uint64_t> wrong_epoch_{0};
-  std::atomic<std::uint64_t> handoff_entries_{0};
 };
 
 }  // namespace lbs::service

@@ -1,6 +1,6 @@
 // Plan-cache snapshots: crash-safe persistence for lbsd's warm state.
 //
-// A plan is a pure function of its PlanKey, so the sharded cache's
+// A plan is a pure function of its PlanKey, so the plan cache's
 // contents are trivially safe to persist and replay: a restored entry can
 // never be stale, only evicted. What must NOT happen is a torn or
 // corrupted file silently warming the cache with garbage — so the format

@@ -1,4 +1,4 @@
-#include "core/sharded_plan_cache.hpp"
+#include "core/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/plan_cache.hpp"
 #include "model/testbed.hpp"
 #include "obs/metrics.hpp"
 
@@ -30,15 +29,16 @@ model::Platform platform_for(int seed) {
   return platform;
 }
 
-TEST(ShardedPlanCache, HitAfterInsert) {
-  ShardedPlanCache cache(4, 8);
+TEST(PlanCache, HitAfterInsert) {
+  PlanCache cache(8, 4);
   auto platform = platform_for(0);
-  EXPECT_FALSE(cache.lookup(platform, 1000, Algorithm::Auto).has_value());
+  auto key = make_plan_key(platform, 1000, Algorithm::Auto);
+  EXPECT_FALSE(cache.lookup(key).has_value());
 
   auto plan = plan_scatter(platform, 1000);
-  cache.insert(platform, 1000, Algorithm::Auto, plan);
+  cache.insert(key, plan);
 
-  auto hit = cache.lookup(platform, 1000, Algorithm::Auto);
+  auto hit = cache.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->distribution.counts, plan.distribution.counts);
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -46,12 +46,12 @@ TEST(ShardedPlanCache, HitAfterInsert) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-// The load-bearing equivalence: replaying one request log through the
-// old single-mutex PlanCache and the sharded cache yields bit-identical
-// plans at every step.
-TEST(ShardedPlanCache, BitIdenticalToPlanCacheOnReplayedLog) {
-  PlanCache flat(64);
-  ShardedPlanCache sharded(8, 8);  // same total capacity
+// The load-bearing equivalence: replaying one request log through a
+// single-shard cache and an eight-shard cache yields bit-identical plans
+// at every step. The shard count changes eviction timing, never answers.
+TEST(PlanCache, OneShardBitIdenticalToEightShardsOnReplayedLog) {
+  PlanCache flat(64, 1);
+  PlanCache sharded(8, 8);  // same total capacity
 
   // A log with repeats: 40 distinct keys, each requested three times,
   // interleaved so LRU state churns.
@@ -76,8 +76,8 @@ TEST(ShardedPlanCache, BitIdenticalToPlanCacheOnReplayedLog) {
   }
 }
 
-TEST(ShardedPlanCache, ShardForIsStableAndInRange) {
-  ShardedPlanCache cache(8, 4);
+TEST(PlanCache, ShardForIsStableAndInRange) {
+  PlanCache cache(4, 8);
   for (int seed = 0; seed < 100; ++seed) {
     auto key = make_plan_key(platform_for(seed), 1000, Algorithm::Auto);
     int shard = cache.shard_for(key);
@@ -87,8 +87,8 @@ TEST(ShardedPlanCache, ShardForIsStableAndInRange) {
   }
 }
 
-TEST(ShardedPlanCache, PerShardLruEviction) {
-  ShardedPlanCache cache(4, 2);  // 2 entries per shard
+TEST(PlanCache, PerShardLruEviction) {
+  PlanCache cache(2, 4);  // 2 entries per shard
 
   // Craft 3 keys that land on the SAME shard: the third insert must evict
   // that shard's LRU entry while every other shard stays untouched.
@@ -128,26 +128,29 @@ TEST(ShardedPlanCache, PerShardLruEviction) {
   }
 }
 
-TEST(ShardedPlanCache, LookupRefreshesLruRecency) {
-  ShardedPlanCache cache(1, 2);  // single shard: global LRU order
+TEST(PlanCache, LookupRefreshesLruRecency) {
+  PlanCache cache(2);  // single shard: global LRU order
   auto a = platform_for(1);
   auto b = platform_for(2);
   auto c = platform_for(3);
-  cache.insert(a, 100, Algorithm::Auto, plan_scatter(a, 100));
-  cache.insert(b, 100, Algorithm::Auto, plan_scatter(b, 100));
+  auto key_a = make_plan_key(a, 100, Algorithm::Auto);
+  auto key_b = make_plan_key(b, 100, Algorithm::Auto);
+  auto key_c = make_plan_key(c, 100, Algorithm::Auto);
+  cache.insert(key_a, plan_scatter(a, 100));
+  cache.insert(key_b, plan_scatter(b, 100));
 
   // Touch `a`, making `b` the LRU victim when `c` arrives.
-  EXPECT_TRUE(cache.lookup(a, 100, Algorithm::Auto).has_value());
-  cache.insert(c, 100, Algorithm::Auto, plan_scatter(c, 100));
+  EXPECT_TRUE(cache.lookup(key_a).has_value());
+  cache.insert(key_c, plan_scatter(c, 100));
 
-  EXPECT_TRUE(cache.lookup(a, 100, Algorithm::Auto).has_value());
-  EXPECT_FALSE(cache.lookup(b, 100, Algorithm::Auto).has_value());
-  EXPECT_TRUE(cache.lookup(c, 100, Algorithm::Auto).has_value());
+  EXPECT_TRUE(cache.lookup(key_a).has_value());
+  EXPECT_FALSE(cache.lookup(key_b).has_value());
+  EXPECT_TRUE(cache.lookup(key_c).has_value());
 }
 
-TEST(ShardedPlanCache, CrossShardMetrics) {
+TEST(PlanCache, CrossShardMetrics) {
   obs::Metrics metrics;
-  ShardedPlanCache cache(2, 8);
+  PlanCache cache(8, 2);
   cache.set_metrics(&metrics);
 
   auto platform = platform_for(0);
@@ -166,12 +169,12 @@ TEST(ShardedPlanCache, CrossShardMetrics) {
   EXPECT_EQ(metrics.counter("plan_cache.misses").value(), 1u);
 }
 
-TEST(ShardedPlanCache, WorksAsPlannerCacheViaBasePointer) {
-  ShardedPlanCache cache(4, 16);
+TEST(PlanCache, WorksAsPlannerOptionsCache) {
+  PlanCache cache(16, 4);
   auto platform = platform_for(7);
 
   PlannerOptions options;
-  options.cache = &cache;  // through PlanCacheBase*
+  options.cache = &cache;
   auto first = plan_scatter(platform, 5000, options);
   auto second = plan_scatter(platform, 5000, options);
   EXPECT_EQ(first.distribution.counts, second.distribution.counts);
@@ -181,10 +184,10 @@ TEST(ShardedPlanCache, WorksAsPlannerCacheViaBasePointer) {
 
 // 16 threads hammering a mix of hot keys (shared hits) and per-thread
 // cold keys (inserts + evictions). Run under TSan via `ctest -L tsan`.
-TEST(ShardedPlanCache, ConcurrentClientsAreRaceFree) {
+TEST(PlanCache, ConcurrentClientsAreRaceFree) {
   constexpr int kThreads = 16;
   constexpr int kIterations = 60;
-  ShardedPlanCache cache(8, 4);  // small: forces concurrent eviction
+  PlanCache cache(4, 8);  // small: forces concurrent eviction
 
   // Pre-plan everything serially so worker threads only exercise the
   // cache, not the planner.
@@ -208,15 +211,17 @@ TEST(ShardedPlanCache, ConcurrentClientsAreRaceFree) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIterations; ++i) {
         const auto& [hot_platform, hot_plan] = hot[static_cast<std::size_t>(i % 4)];
-        if (i == 0) cache.insert(hot_platform, 1000, Algorithm::Auto, hot_plan);
-        auto got = cache.lookup(hot_platform, 1000, Algorithm::Auto);
+        const auto hot_key = make_plan_key(hot_platform, 1000, Algorithm::Auto);
+        if (i == 0) cache.insert(hot_key, hot_plan);
+        auto got = cache.lookup(hot_key);
         if (got && got->distribution.counts != hot_plan.distribution.counts) {
           wrong.fetch_add(1);
         }
         const auto& [cold_platform, cold_plan] =
             cold[static_cast<std::size_t>(t)][static_cast<std::size_t>(i % 8)];
-        cache.insert(cold_platform, 1000, Algorithm::Auto, cold_plan);
-        auto mine = cache.lookup(cold_platform, 1000, Algorithm::Auto);
+        const auto cold_key = make_plan_key(cold_platform, 1000, Algorithm::Auto);
+        cache.insert(cold_key, cold_plan);
+        auto mine = cache.lookup(cold_key);
         if (mine && mine->distribution.counts != cold_plan.distribution.counts) {
           wrong.fetch_add(1);
         }

@@ -5,6 +5,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <future>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/client.hpp"
+#include "service/socket.hpp"
 
 namespace lbs::service {
 namespace {
@@ -269,6 +272,58 @@ TEST(ServiceServer, PingStatsAndShutdown) {
   EXPECT_FALSE(server.stop_requested());
   EXPECT_TRUE(client.shutdown_server());
   EXPECT_TRUE(server.wait_until_stop_requested_for(2000));
+  server.stop();
+}
+
+// Two in-process servers built without a Metrics registry must not share
+// one: each reports only its own traffic, in counters() and in the
+// "metrics" block of stats_json().
+TEST(ServiceServer, ServersWithoutMetricsKeepSeparateCounts) {
+  ServerOptions options_a;
+  options_a.socket_path = test_socket_path();
+  ServerOptions options_b;
+  options_b.socket_path = test_socket_path();
+  Server a(options_a);
+  Server b(options_b);
+  a.start();
+  b.start();
+
+  Client client(options_a.socket_path);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(client.plan(seeded_platform(5), 1000).status, PlanStatus::Ok);
+  }
+  EXPECT_EQ(a.counters().requests, 3u);
+  EXPECT_EQ(a.counters().solved, 1u);
+  EXPECT_EQ(b.counters().requests, 0u);
+  EXPECT_EQ(b.counters().solved, 0u);
+  EXPECT_NE(a.stats_json().find("\"service.requests\":3"), std::string::npos);
+  EXPECT_NE(b.stats_json().find("\"service.requests\":0"), std::string::npos);
+  client.close();
+  a.stop();
+  b.stop();
+}
+
+// A mis-framed or undecodable frame is a protocol error, and
+// counters().errors counts it next to the planning errors.
+TEST(ServiceServer, ProtocolErrorsCountAsErrors) {
+  obs::Metrics metrics;
+  ServerOptions options;
+  options.socket_path = test_socket_path();
+  options.metrics = &metrics;
+  Server server(options);
+  server.start();
+
+  const int fd = connect_endpoint(Endpoint::unix_path(options.socket_path));
+  ASSERT_GE(fd, 0);
+  const std::vector<std::uint8_t> garbage{0xde, 0xad, 0xbe, 0xef};
+  ASSERT_EQ(send_frame_within(fd, garbage, no_deadline()), IoStatus::Ok);
+  for (int i = 0; i < 200 && server.counters().errors == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  close_fd(fd);
+  EXPECT_EQ(server.counters().errors, 1u);
+  EXPECT_EQ(metrics.counter("service.protocol_errors").value(), 1u);
+  EXPECT_EQ(metrics.counter("service.errors").value(), 0u);
   server.stop();
 }
 

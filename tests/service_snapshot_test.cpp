@@ -16,8 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/plan_cache.hpp"
 #include "core/planner.hpp"
-#include "core/sharded_plan_cache.hpp"
 #include "model/testbed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -197,14 +197,14 @@ TEST(SnapshotCodec, AtomicallyReplacesExistingSnapshot) {
 }
 
 TEST(ShardedCacheExport, RestorePreservesRecencyOrder) {
-  core::ShardedPlanCache cache(/*shards=*/1, /*capacity_per_shard=*/2);
+  core::PlanCache cache(/*capacity_per_shard=*/2, /*shards=*/1);
   SnapshotEntry a = solved_entry(seeded_platform(11), 700);
   SnapshotEntry b = solved_entry(seeded_platform(12), 800);
   cache.insert(a.first, a.second);
   cache.insert(b.first, b.second);
   (void)cache.lookup(a.first);  // a is now most recent, b least
 
-  core::ShardedPlanCache replica(1, 2);
+  core::PlanCache replica(2, 1);
   replica.restore_entries(cache.export_entries());
   EXPECT_EQ(replica.size(), 2u);
 
